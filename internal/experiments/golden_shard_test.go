@@ -82,6 +82,7 @@ func TestGoldenShardBuiltinSpecsInvariance(t *testing.T) {
 	}
 	ref := filepath.Join(t.TempDir(), "s1p1")
 	runGoldenSharded(t, specs, ref, 1, 1, nil)
+	checkReferenceDigests(t, "shard-builtin-"+goldenTier(shardGoldenFull()), ref)
 	for _, c := range goldenShardGrid() {
 		dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%dp%d", c.shards, c.parallel))
 		runGoldenSharded(t, specs, dir, c.shards, c.parallel, nil)
@@ -121,6 +122,7 @@ func TestGoldenShardScenarioArtifactsInvariance(t *testing.T) {
 			}
 			ref := filepath.Join(t.TempDir(), "s1p1")
 			runGoldenSharded(t, specs, ref, 1, 1, []*scenario.Set{set})
+			checkReferenceDigests(t, "shard-scenario/"+name, ref)
 			for _, c := range goldenShardGrid() {
 				dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%dp%d", c.shards, c.parallel))
 				runGoldenSharded(t, specs, dir, c.shards, c.parallel, []*scenario.Set{set})

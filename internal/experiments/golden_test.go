@@ -3,10 +3,13 @@ package experiments_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -131,6 +134,110 @@ func assertDirsIdentical(t *testing.T, a, b string) {
 	}
 }
 
+// referenceDigestsPath is the committed cross-commit pin: the SHA-256
+// of every file in each harness's reference run directory (seed
+// goldenSeed), one "key path digest" line per file. The parallel and
+// shard invariance gates compare runs of one commit with each other;
+// this table is what catches a deterministic behaviour change between
+// commits. Updating it is deliberate: a failing check writes the
+// observed table for its key to a temporary file and logs the path.
+const referenceDigestsPath = "testdata/reference_digests.txt"
+
+// loadReferenceDigests parses the committed table into key → relative
+// path → hex digest. Blank lines and '#' comments are skipped.
+func loadReferenceDigests(t *testing.T) map[string]map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(referenceDigestsPath)
+	if err != nil {
+		t.Fatalf("read reference digests: %v", err)
+	}
+	table := map[string]map[string]string{}
+	for n, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("%s:%d: want \"key path digest\", got %q", referenceDigestsPath, n+1, line)
+		}
+		if table[f[0]] == nil {
+			table[f[0]] = map[string]string{}
+		}
+		table[f[0]][f[1]] = f[2]
+	}
+	return table
+}
+
+// checkReferenceDigests compares every file of the run directory dir
+// with the committed table entries under key. A mismatch names each
+// differing file with its wanted and observed digest.
+func checkReferenceDigests(t *testing.T, key, dir string) {
+	t.Helper()
+	want := loadReferenceDigests(t)[key]
+	got := map[string]string{}
+	for _, rel := range dirFiles(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[filepath.ToSlash(rel)] = fmt.Sprintf("%x", sha256.Sum256(data))
+	}
+	paths := make([]string, 0, len(got)+len(want))
+	for rel := range got {
+		paths = append(paths, rel)
+	}
+	for rel := range want {
+		if _, ok := got[rel]; !ok {
+			paths = append(paths, rel)
+		}
+	}
+	sort.Strings(paths)
+	var diffs []string
+	for _, rel := range paths {
+		if want[rel] != got[rel] {
+			diffs = append(diffs, fmt.Sprintf("%s: want %s, got %s", rel, orAbsent(want[rel]), orAbsent(got[rel])))
+		}
+	}
+	if len(diffs) == 0 {
+		return
+	}
+	var observed strings.Builder
+	for _, rel := range paths {
+		if d, ok := got[rel]; ok {
+			fmt.Fprintf(&observed, "%s %s %s\n", key, rel, d)
+		}
+	}
+	t.Errorf("reference run %q differs from %s:\n%s", key, referenceDigestsPath, strings.Join(diffs, "\n"))
+	f, err := os.CreateTemp("", "reference-digests-*.txt")
+	if err != nil {
+		t.Logf("cannot save the observed table: %v", err)
+		return
+	}
+	defer f.Close()
+	if _, err := f.WriteString(observed.String()); err != nil {
+		t.Logf("cannot save the observed table: %v", err)
+		return
+	}
+	t.Logf("observed table for %q written to %s", key, f.Name())
+}
+
+func orAbsent(digest string) string {
+	if digest == "" {
+		return "(absent)"
+	}
+	return digest
+}
+
+// goldenTier names the spec selection a harness ran, so the -short
+// and full tiers pin their different reference directories separately.
+func goldenTier(full bool) string {
+	if full {
+		return "full"
+	}
+	return "short"
+}
+
 // TestGoldenBuiltinSpecsParallelInvariance runs the built-in registry
 // (the full set, or the short tier under -short) at both parallelism
 // settings and asserts byte-identical run directories.
@@ -153,6 +260,7 @@ func TestGoldenBuiltinSpecsParallelInvariance(t *testing.T) {
 	}
 	seq, par := filepath.Join(t.TempDir(), "p1"), filepath.Join(t.TempDir(), "p8")
 	runGolden(t, specs, seq, 1, nil)
+	checkReferenceDigests(t, "builtin-"+goldenTier(!testing.Short()), seq)
 	runGolden(t, specs, par, 8, nil)
 	assertDirsIdentical(t, seq, par)
 }
@@ -195,6 +303,7 @@ func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 			}
 			seq, par := filepath.Join(t.TempDir(), "p1"), filepath.Join(t.TempDir(), "p8")
 			runGolden(t, specs, seq, 1, []*scenario.Set{set})
+			checkReferenceDigests(t, "scenario/"+name, seq)
 			runGolden(t, specs, par, 8, []*scenario.Set{set})
 			assertDirsIdentical(t, seq, par)
 		})
@@ -222,6 +331,7 @@ func TestGoldenRelaySpecsParallelInvariance(t *testing.T) {
 	}
 	seq, par := filepath.Join(t.TempDir(), "p1"), filepath.Join(t.TempDir(), "p8")
 	runGolden(t, specs, seq, 1, nil)
+	checkReferenceDigests(t, "relay", seq)
 	runGolden(t, specs, par, 8, nil)
 	assertDirsIdentical(t, seq, par)
 }
