@@ -16,9 +16,9 @@ import (
 // ever consumes RNG, reorders events or leaks into an artifact, these
 // tests fail.
 
-// obsGoldenSpecs keeps this gate fast while covering the three engine
-// dispatch classes: T1/network (funcs, calls, timers via the overlay
-// and mining), D1 (fault opcodes).
+// obsGoldenSpecs keeps this gate fast while covering both engine
+// dispatch classes: T1/network (calls and timers via the overlay and
+// mining), D1 (fault opcodes).
 var obsGoldenSpecs = []string{"T1", "network", "D1"}
 
 func runGoldenSpecs(t *testing.T, dir string, parallel int) {

@@ -105,8 +105,8 @@ func TestCollectorAggregatesPerSeed(t *testing.T) {
 			t.Fatal("enabled collector returned nil scope")
 		}
 		s.RunStarted()
-		e.Schedule(1, func(sim.Time) {})
-		e.Schedule(2, func(sim.Time) {})
+		e.NewTimer(func(sim.Time) {}).Reset(1)
+		e.NewTimer(func(sim.Time) {}).Reset(2)
 		e.Run()
 		s.Finish(RunSample{Engine: e.Stats(), Messages: 3, Bytes: 100})
 	}

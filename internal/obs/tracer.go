@@ -125,9 +125,9 @@ func (t *Tracer) Dispatch(now sim.Time, class sim.EventClass, h sim.Handler, op 
 	}
 }
 
-// kindName labels an event kind: timers and bare funcs by class,
-// calls by the handler's own EventName when it implements
-// sim.EventNamer, else by dynamic type and opcode.
+// kindName labels an event kind: timers by class, calls by the
+// handler's own EventName when it implements sim.EventNamer, else by
+// dynamic type and opcode.
 func kindName(class sim.EventClass, h sim.Handler, op uint64) string {
 	if class != sim.EventCall {
 		return class.String()

@@ -105,7 +105,7 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64) *fixtureResult {
 		pool = append(pool, tx)
 		if i < 20 {
 			origin := res.nodes[i%len(res.nodes)]
-			engine.Schedule(sim.Time(i), func(now sim.Time) { origin.InjectTx(now, tx) })
+			engine.NewTimer(func(now sim.Time) { origin.InjectTx(now, tx) }).Reset(sim.Time(i))
 		}
 	}
 
@@ -127,7 +127,7 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64) *fixtureResult {
 		parent = blk.Hash()
 		res.blocks = append(res.blocks, blk)
 		origin := res.nodes[(7*k)%len(res.nodes)]
-		engine.Schedule(sim.Time(10_000*(k+1)), func(now sim.Time) { origin.InjectBlock(now, blk) })
+		engine.NewTimer(func(now sim.Time) { origin.InjectBlock(now, blk) }).Reset(sim.Time(10_000 * (k + 1)))
 	}
 
 	engine.Run()

@@ -83,7 +83,7 @@ func runPingPong(regions, workers int) (total int, stats []EngineStats, cstats C
 	}
 	// The global lane injects into region 1 mid-run, exercising phase A
 	// ordering ahead of region events at the same timestamp.
-	c.Global().ScheduleAt(7, func(now Time) {
+	scheduleAt(c.Global(), 7, func(now Time) {
 		c.Lane(0).ScheduleCallAt(now+1, p, 1, 3)
 	})
 	c.Run(workers)
@@ -131,8 +131,8 @@ func TestConductorMatchesAcrossWorkerCounts(t *testing.T) {
 func TestConductorGlobalRunsFirstAtTie(t *testing.T) {
 	c := NewConductor(2)
 	var order []string
-	c.Global().ScheduleAt(5, func(Time) { order = append(order, "global") })
-	c.Lane(0).ScheduleAt(5, func(Time) { order = append(order, "region") })
+	scheduleAt(c.Global(), 5, func(Time) { order = append(order, "global") })
+	scheduleAt(c.Lane(0), 5, func(Time) { order = append(order, "region") })
 	c.Run(2)
 	if len(order) != 2 || order[0] != "global" || order[1] != "region" {
 		t.Fatalf("execution order %v, want [global region]", order)
@@ -147,8 +147,8 @@ func TestConductorStallCounter(t *testing.T) {
 	ran := 0
 	// Lane 1's event at t=3 forces lane 0's first window deadline to 3,
 	// stalling lane 0's own event at t=9 until lane 1 has advanced.
-	c.Lane(0).ScheduleAt(9, func(Time) { ran++ })
-	c.Lane(1).ScheduleAt(3, func(Time) { ran++ })
+	scheduleAt(c.Lane(0), 9, func(Time) { ran++ })
+	scheduleAt(c.Lane(1), 3, func(Time) { ran++ })
 	c.Run(2)
 	if ran != 2 {
 		t.Fatalf("ran %d events, want 2", ran)
@@ -261,8 +261,8 @@ func TestConductorWiderBoundsWidenWindows(t *testing.T) {
 		c.SetBounds([][]Time{{0, bound}, {bound, 0}})
 		var n [2]int // per-lane: phase B runs the lanes concurrently
 		for k := 0; k < 10; k++ {
-			c.Lane(0).ScheduleAt(Time(10*k), func(Time) { n[0]++ })
-			c.Lane(1).ScheduleAt(Time(10*k), func(Time) { n[1]++ })
+			scheduleAt(c.Lane(0), Time(10*k), func(Time) { n[0]++ })
+			scheduleAt(c.Lane(1), Time(10*k), func(Time) { n[1]++ })
 		}
 		c.Run(2)
 		return n[0] + n[1], c.Stats()
@@ -303,8 +303,8 @@ func TestConductorPairHistogramRecordsStalls(t *testing.T) {
 	ran := 0
 	// Lane 1's event at t=3 bounds lane 0's first deadline to 3,
 	// stalling lane 0's own event at t=9 (uniform 1 ms bounds).
-	c.Lane(0).ScheduleAt(9, func(Time) { ran++ })
-	c.Lane(1).ScheduleAt(3, func(Time) { ran++ })
+	scheduleAt(c.Lane(0), 9, func(Time) { ran++ })
+	scheduleAt(c.Lane(1), 3, func(Time) { ran++ })
 	c.Run(1)
 	if ran != 2 {
 		t.Fatalf("ran %d events, want 2", ran)
@@ -351,13 +351,13 @@ func TestConductorGlobalHorizonUnpinsLanes(t *testing.T) {
 		// Internal global bookkeeping every 10 ms, then a final global
 		// event at 200 (the only one the owner would call touching).
 		for k := 1; k <= 9; k++ {
-			c.Global().ScheduleAt(Time(10*k), func(Time) { ran++ })
+			scheduleAt(c.Global(), Time(10*k), func(Time) { ran++ })
 		}
-		c.Global().ScheduleAt(200, func(Time) { ran++ })
+		scheduleAt(c.Global(), 200, func(Time) { ran++ })
 		// Region lane 0 holds events beyond several global events; the
 		// default bound stalls them until the global lane catches up.
-		c.Lane(0).ScheduleAt(50, func(Time) { ran++ })
-		c.Lane(0).ScheduleAt(150, func(Time) { ran++ })
+		scheduleAt(c.Lane(0), 50, func(Time) { ran++ })
+		scheduleAt(c.Lane(0), 150, func(Time) { ran++ })
 		if withHorizon {
 			c.GlobalHorizon = func() Time { return 200 }
 		}
@@ -388,10 +388,10 @@ func TestConductorGlobalHorizonBelowNextIsConservative(t *testing.T) {
 	run := func(withHorizon bool) ConductorStats {
 		c := NewConductor(2)
 		for k := 1; k <= 5; k++ {
-			c.Global().ScheduleAt(Time(20*k), func(Time) {})
+			scheduleAt(c.Global(), Time(20*k), func(Time) {})
 		}
-		c.Lane(0).ScheduleAt(90, func(Time) {})
-		c.Lane(1).ScheduleAt(70, func(Time) {})
+		scheduleAt(c.Lane(0), 90, func(Time) {})
+		scheduleAt(c.Lane(1), 70, func(Time) {})
 		if withHorizon {
 			c.GlobalHorizon = func() Time { return 0 }
 		}
@@ -418,8 +418,8 @@ func TestConductorFrontierIgnoresDeadlineOvershoot(t *testing.T) {
 			{0, bound},
 			{bound, 0},
 		})
-		c.Lane(0).ScheduleAt(50, func(Time) {})
-		c.Lane(1).ScheduleAt(100, func(Time) {})
+		scheduleAt(c.Lane(0), 50, func(Time) {})
+		scheduleAt(c.Lane(1), 100, func(Time) {})
 		c.Run(2)
 		return c.Now(), c.Frontier()
 	}

@@ -12,7 +12,7 @@ func TestStopInsideEvent(t *testing.T) {
 	var ran []int
 	for i := 0; i < 5; i++ {
 		i := i
-		e.Schedule(Time(10*i), func(Time) {
+		schedule(e, Time(10*i), func(Time) {
 			ran = append(ran, i)
 			if i == 2 {
 				e.Stop()
@@ -46,8 +46,8 @@ func TestRunUntilEqualTimestampBurst(t *testing.T) {
 		i := i
 		// Interleave: a deadline event and a past-deadline event per
 		// iteration, so heap shape cannot accidentally produce FIFO.
-		e.Schedule(100, func(Time) { order = append(order, i) })
-		e.Schedule(101, func(Time) { t.Error("past-deadline event ran") })
+		schedule(e, 100, func(Time) { order = append(order, i) })
+		schedule(e, 101, func(Time) { t.Error("past-deadline event ran") })
 	}
 	e.RunUntil(100)
 	if len(order) != burst {
@@ -73,13 +73,13 @@ func TestTimerCancelThenFire(t *testing.T) {
 	timer := e.NewTimer(func(Time) { fired++ })
 	timer.Reset(50)
 	sibling := 0
-	e.Schedule(50, func(Time) { sibling++ })
-	e.Schedule(10, func(Time) {
+	schedule(e, 50, func(Time) { sibling++ })
+	schedule(e, 10, func(Time) {
 		if !timer.Stop() {
 			t.Error("Stop should report a pending occurrence")
 		}
 		// Reuse the freed slot at the timer's old deadline.
-		e.Schedule(40, func(Time) { sibling++ })
+		schedule(e, 40, func(Time) { sibling++ })
 	})
 	e.Run()
 	if fired != 0 {
@@ -135,8 +135,8 @@ func TestTimerResetWhilePending(t *testing.T) {
 	var fired []Time
 	timer := e.NewTimer(func(now Time) { fired = append(fired, now) })
 	timer.Reset(100)
-	e.Schedule(10, func(Time) { timer.Reset(200) })   // push out: fires at 210
-	e.Schedule(20, func(Time) { timer.ResetAt(150) }) // pull in: fires at 150
+	schedule(e, 10, func(Time) { timer.Reset(200) })   // push out: fires at 210
+	schedule(e, 20, func(Time) { timer.ResetAt(150) }) // pull in: fires at 150
 	e.Run()
 	if len(fired) != 1 || fired[0] != 150 {
 		t.Fatalf("fired %v, want exactly [150]", fired)
@@ -170,8 +170,8 @@ func TestTimerResetAtPastIsMonotonic(t *testing.T) {
 	// callback. The timer is pending at 500; at t=100 it is reset to
 	// t=5, which must clamp to 100 and fire there.
 	timer.Reset(500)
-	e.Schedule(100, func(now Time) { observe(now); timer.ResetAt(5) })
-	e.Schedule(200, func(now Time) { observe(now) })
+	schedule(e, 100, func(now Time) { observe(now); timer.ResetAt(5) })
+	schedule(e, 200, func(now Time) { observe(now) })
 	e.Run()
 	if len(fired) != 1 || fired[0] != 100 {
 		t.Fatalf("fired %v, want exactly [100] (clamped to now)", fired)
@@ -197,24 +197,27 @@ func TestTimerResetAtPastIsMonotonic(t *testing.T) {
 }
 
 // TestTimerFIFOAgainstSchedule asserts the determinism contract: a
-// Reset consumes the next sequence number exactly like a Schedule, so
-// a timer firing at the same timestamp as plain events keeps its
+// Reset consumes the next sequence number exactly like a ScheduleCall,
+// so a timer firing at the same timestamp as handler events keeps its
 // schedule-order position.
 func TestTimerFIFOAgainstSchedule(t *testing.T) {
 	e := NewEngine()
-	var order []string
-	e.Schedule(30, func(Time) { order = append(order, "a") })
-	timer := e.NewTimer(func(Time) { order = append(order, "timer") })
+	h := &recordingHandler{}
+	e.ScheduleCall(30, h, 1, 0)
+	timer := e.NewTimer(func(now Time) { h.HandleEvent(now, 99, 0) })
 	timer.Reset(30)
-	e.Schedule(30, func(Time) { order = append(order, "b") })
+	e.ScheduleCall(30, h, 2, 0)
 	e.Run()
-	if len(order) != 3 || order[0] != "a" || order[1] != "timer" || order[2] != "b" {
-		t.Fatalf("order %v, want [a timer b]", order)
+	var order []uint64
+	for _, c := range h.calls {
+		order = append(order, c[1])
+	}
+	if len(order) != 3 || order[0] != 1 || order[1] != 99 || order[2] != 2 {
+		t.Fatalf("order %v, want [1 99 2] (call, timer, call)", order)
 	}
 }
 
-// TestScheduleCallTyped exercises the closure-free dispatch path,
-// including FIFO interleaving with closure events.
+// recordingHandler records every dispatch it receives.
 type recordingHandler struct {
 	calls [][3]uint64 // now, a, b
 }
@@ -223,6 +226,8 @@ func (r *recordingHandler) HandleEvent(now Time, a, b uint64) {
 	r.calls = append(r.calls, [3]uint64{uint64(now), a, b})
 }
 
+// TestScheduleCallTyped exercises the handler dispatch path: delay
+// clamping, absolute times and FIFO order among equal timestamps.
 func TestScheduleCallTyped(t *testing.T) {
 	e := NewEngine()
 	h := &recordingHandler{}
@@ -255,7 +260,7 @@ func TestEngineSlotReuse(t *testing.T) {
 	const pending = 64
 	for cycle := 0; cycle < 50; cycle++ {
 		for i := 0; i < pending; i++ {
-			e.Schedule(Time(i), func(Time) {})
+			schedule(e, Time(i), func(Time) {})
 		}
 		e.Run()
 	}

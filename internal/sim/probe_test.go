@@ -7,13 +7,15 @@ import (
 
 // recordingProbe captures every dispatch notification.
 type recordingProbe struct {
-	classes []EventClass
-	ops     []uint64
-	times   []Time
+	classes  []EventClass
+	handlers []Handler
+	ops      []uint64
+	times    []Time
 }
 
 func (p *recordingProbe) Dispatch(now Time, class EventClass, h Handler, op uint64, wall time.Duration) {
 	p.classes = append(p.classes, class)
+	p.handlers = append(p.handlers, h)
 	p.ops = append(p.ops, op)
 	p.times = append(p.times, now)
 }
@@ -55,11 +57,11 @@ func TestEngineStatsMaxPendingHighWater(t *testing.T) {
 	e := NewEngine()
 	// Queue depth rises to 3, drains, rises to 2: high water stays 3.
 	for i := 0; i < 3; i++ {
-		e.Schedule(1, func(Time) {})
+		schedule(e, 1, func(Time) {})
 	}
 	e.Run()
-	e.Schedule(1, func(Time) {})
-	e.Schedule(1, func(Time) {})
+	schedule(e, 1, func(Time) {})
+	schedule(e, 1, func(Time) {})
 	e.Run()
 	if st := e.Stats(); st.MaxPending != 3 {
 		t.Fatalf("MaxPending = %d, want 3", st.MaxPending)
@@ -71,12 +73,12 @@ func TestProbeObservesAllDispatchClasses(t *testing.T) {
 	p := &recordingProbe{}
 	e.SetProbe(p)
 	h := &countingHandler{}
-	e.Schedule(1, func(Time) {})
 	e.ScheduleCall(2, h, 7, 0)
-	timer := e.NewTimer(func(Time) {})
+	fired := false
+	timer := e.NewTimer(func(Time) { fired = true })
 	timer.Reset(3)
 	e.Run()
-	want := []EventClass{EventFunc, EventCall, EventTimer}
+	want := []EventClass{EventCall, EventTimer}
 	if len(p.classes) != len(want) {
 		t.Fatalf("probe saw %d events, want %d", len(p.classes), len(want))
 	}
@@ -85,11 +87,14 @@ func TestProbeObservesAllDispatchClasses(t *testing.T) {
 			t.Errorf("event %d class = %v, want %v", i, p.classes[i], c)
 		}
 	}
-	if p.ops[1] != 7 {
-		t.Errorf("call op = %d, want 7", p.ops[1])
+	if p.ops[0] != 7 || p.handlers[0] != h {
+		t.Errorf("call reported op %d handler %v, want 7 %v", p.ops[0], p.handlers[0], h)
 	}
-	if h.calls != 1 {
-		t.Errorf("handler ran %d times, want 1", h.calls)
+	if p.handlers[1] != nil {
+		t.Errorf("timer reported handler %v, want nil", p.handlers[1])
+	}
+	if h.calls != 1 || !fired {
+		t.Errorf("handler ran %d times, timer fired %v; want 1, true", h.calls, fired)
 	}
 }
 
@@ -114,7 +119,7 @@ func TestProbeDoesNotPerturbExecution(t *testing.T) {
 		timer.Reset(1)
 		for i := 0; i < 30; i++ {
 			i := i
-			e.Schedule(Time(rng.IntN(50)), func(Time) { order = append(order, i) })
+			schedule(e, Time(rng.IntN(50)), func(Time) { order = append(order, i) })
 		}
 		e.Run()
 		return order, e.Stats()
@@ -136,7 +141,6 @@ func TestProbeDoesNotPerturbExecution(t *testing.T) {
 
 func TestEventClassString(t *testing.T) {
 	cases := map[EventClass]string{
-		EventFunc:     "func",
 		EventCall:     "call",
 		EventTimer:    "timer",
 		EventClass(9): "unknown",

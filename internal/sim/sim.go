@@ -48,19 +48,19 @@ func FromDuration(d time.Duration) Time {
 	return Time(d.Milliseconds())
 }
 
-// Event is a scheduled callback. Events run exactly once, at their
-// scheduled virtual time.
+// Event is a Timer's callback: it runs once per occurrence, at the
+// occurrence's virtual time.
 type Event func(now Time)
 
 // ErrStopped is returned by Run variants when the engine was halted
 // before the condition was met.
 var ErrStopped = errors.New("sim: engine stopped")
 
-// Handler is the typed fast path for hot event producers: instead of
-// allocating a closure per event, a subsystem implements Handler once
-// and schedules (handler, a, b) triples via ScheduleCall. The two
-// uint64 arguments typically carry an opcode and an index into a
-// caller-owned slab.
+// Handler is the engine's one event representation: every queued
+// event is a (handler, a, b) triple, scheduled via ScheduleCall or a
+// Timer. A subsystem implements Handler once instead of allocating a
+// closure per event; the two uint64 arguments typically carry an
+// opcode and an index into a caller-owned slab.
 type Handler interface {
 	HandleEvent(now Time, a, b uint64)
 }
@@ -78,10 +78,8 @@ type EventClass uint8
 
 // Event classes.
 const (
-	// EventFunc is a closure scheduled via Schedule/ScheduleAt.
-	EventFunc EventClass = iota
-	// EventCall is a typed Handler invocation (ScheduleCall).
-	EventCall
+	// EventCall is a Handler invocation scheduled via ScheduleCall.
+	EventCall EventClass = iota
 	// EventTimer is a Timer occurrence.
 	EventTimer
 )
@@ -89,8 +87,6 @@ const (
 // String names the class.
 func (c EventClass) String() string {
 	switch c {
-	case EventFunc:
-		return "func"
 	case EventCall:
 		return "call"
 	case EventTimer:
@@ -103,10 +99,10 @@ func (c EventClass) String() string {
 // Probe observes event dispatch. A probe is strictly passive: it runs
 // after the event's callback, consumes no simulation RNG, and cannot
 // reorder or reschedule anything — attaching one never changes a
-// seeded run's artifacts. h and op are set only for EventCall
-// dispatches (the Handler and its first argument); wall is the
-// callback's wall-clock cost. Probes are invoked from the engine's
-// single execution goroutine.
+// seeded run's artifacts. h and op are the Handler and its first
+// argument for EventCall dispatches; EventTimer dispatches pass a nil
+// h. wall is the callback's wall-clock cost. Probes are invoked from
+// the engine's single execution goroutine.
 type Probe interface {
 	Dispatch(now Time, class EventClass, h Handler, op uint64, wall time.Duration)
 }
@@ -127,8 +123,8 @@ type EngineStats struct {
 	// Slots is the allocated slot-arena capacity (live + free), the
 	// engine's memory footprint in event slots.
 	Slots int
-	// Scheduled counts every enqueue (Schedule, ScheduleCall and Timer
-	// resets alike): the global sequence counter.
+	// Scheduled counts every enqueue (ScheduleCall and Timer resets
+	// alike): the global sequence counter.
 	Scheduled uint64
 }
 
@@ -136,15 +132,11 @@ type EngineStats struct {
 // arena; the heap orders slot indices, so scheduling an event
 // allocates nothing once the arena has warmed up.
 type slot struct {
-	at  Time
-	seq uint64 // tiebreaker: FIFO among equal timestamps
-	pos int32  // current heap position, -1 when not queued
-
-	// Exactly one of fn / h / timer is set.
-	fn    Event
-	h     Handler
-	a, b  uint64
-	timer *Timer
+	at   Time
+	seq  uint64 // tiebreaker: FIFO among equal timestamps
+	h    Handler
+	a, b uint64
+	pos  int32 // current heap position, -1 when not queued
 }
 
 // Engine is a single-threaded discrete-event executor. It is not safe
@@ -222,13 +214,11 @@ func (e *Engine) acquire() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// release returns a slot to the free list, dropping any references it
-// held so callbacks and handlers do not outlive their event.
+// release returns a slot to the free list, dropping the handler
+// reference so it does not outlive its event.
 func (e *Engine) release(i int32) {
 	s := &e.slots[i]
-	s.fn = nil
 	s.h = nil
-	s.timer = nil
 	s.a, s.b = 0, 0
 	s.pos = -1
 	e.free = append(e.free, i)
@@ -349,32 +339,11 @@ func (e *Engine) enqueue(i int32, at Time) {
 	e.push(i)
 }
 
-// Schedule runs fn at the given delay from now. Negative delays are
-// clamped to zero (events cannot run in the past).
-func (e *Engine) Schedule(delay Time, fn Event) {
-	if fn == nil {
-		return
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	i := e.acquire()
-	e.slots[i].fn = fn
-	e.enqueue(i, e.now+delay)
-}
-
-// ScheduleAt runs fn at an absolute virtual time. Times in the past
-// are clamped to now.
-func (e *Engine) ScheduleAt(at Time, fn Event) {
-	if at < e.now {
-		at = e.now
-	}
-	e.Schedule(at-e.now, fn)
-}
-
-// ScheduleCall schedules a typed handler invocation. This is the
-// zero-allocation fast path: no closure is created — the handler
-// pointer and its two arguments are stored inline in the event slot.
+// ScheduleCall runs h.HandleEvent(now, a, b) at the given delay from
+// now. Negative delays are clamped to zero (events cannot run in the
+// past). No closure is created — the handler and its two arguments are
+// stored inline in the event slot, so scheduling allocates nothing once
+// the slot arena has warmed up.
 func (e *Engine) ScheduleCall(delay Time, h Handler, a, b uint64) {
 	if h == nil {
 		return
@@ -469,43 +438,26 @@ func (e *Engine) step() bool {
 	}
 	e.lastAt = e.now
 	e.ran++
-	fn, h, a, b, t := s.fn, s.h, s.a, s.b, s.timer
+	h, a, b := s.h, s.a, s.b
 	e.release(i)
 	if e.probe != nil {
-		e.dispatchProbed(fn, h, a, b, t)
+		e.dispatchProbed(h, a, b)
 		return true
 	}
-	switch {
-	case t != nil:
-		// Mark the timer idle before the callback so the callback can
-		// Reset (reschedule-in-callback) without tripping the
-		// still-pending path.
-		t.slot = -1
-		t.fn(e.now)
-	case fn != nil:
-		fn(e.now)
-	case h != nil:
-		h.HandleEvent(e.now, a, b)
-	}
+	h.HandleEvent(e.now, a, b)
 	return true
 }
 
-// dispatchProbed is the traced twin of step's dispatch switch: same
-// callback order, plus wall timing and a probe notification after the
-// callback. Kept out of step so the untraced hot path stays compact.
-func (e *Engine) dispatchProbed(fn Event, h Handler, a, b uint64, t *Timer) {
+// dispatchProbed is the traced twin of step's dispatch: the same call,
+// plus wall timing and a probe notification after it. Timer
+// occurrences are reported as EventTimer with no handler. Kept out of
+// step so the untraced hot path stays compact.
+func (e *Engine) dispatchProbed(h Handler, a, b uint64) {
 	start := time.Now()
-	class := EventFunc
-	switch {
-	case t != nil:
-		class = EventTimer
-		t.slot = -1
-		t.fn(e.now)
-	case fn != nil:
-		fn(e.now)
-	case h != nil:
-		class = EventCall
-		h.HandleEvent(e.now, a, b)
+	h.HandleEvent(e.now, a, b)
+	class := EventCall
+	if _, ok := h.(*timerHandler); ok {
+		class, h = EventTimer, nil
 	}
 	e.probe.Dispatch(e.now, class, h, a, time.Since(start))
 }
@@ -562,8 +514,12 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // arrivals, hold timeouts); the queue slot is pooled, so steady-state
 // rescheduling allocates nothing.
 //
+// A queued occurrence is an ordinary (handler, a, b) event whose
+// handler is an adapter on the timer, so timers share ScheduleCall's
+// slot layout and dispatch path.
+//
 // Determinism contract: every Reset consumes the next global sequence
-// number, exactly as a fresh Schedule at the same point would — so
+// number, exactly as a fresh ScheduleCall at the same point would — so
 // replacing schedule-and-tombstone loops with a Timer preserves the
 // relative order of all simultaneous events. Stop removes the queued
 // occurrence without disturbing any other event's (at, seq) key.
@@ -571,6 +527,19 @@ type Timer struct {
 	e    *Engine
 	fn   Event
 	slot int32 // queued slot index, -1 when idle
+}
+
+// timerHandler is the Handler a Timer's queued occurrence carries. It
+// is a distinct type so Timer itself exports no HandleEvent method and
+// traced dispatch can tell timer occurrences apart.
+type timerHandler Timer
+
+// HandleEvent marks the timer idle before the callback, so the callback
+// can Reset (reschedule-in-callback) without tripping the still-pending
+// path.
+func (h *timerHandler) HandleEvent(now Time, _, _ uint64) {
+	h.slot = -1
+	h.fn(now)
 }
 
 // NewTimer creates an idle timer for fn. fn must be non-nil.
@@ -606,7 +575,7 @@ func (t *Timer) ResetAt(at Time) {
 		return
 	}
 	i := e.acquire()
-	e.slots[i].timer = t
+	e.slots[i].h = (*timerHandler)(t)
 	t.slot = i
 	e.enqueue(i, at)
 }

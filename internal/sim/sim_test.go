@@ -25,12 +25,19 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
+// schedule queues a one-off fn at delay from now through a fresh
+// Timer, the way these tests express an arbitrary callback event.
+func schedule(e *Engine, delay Time, fn Event) { e.NewTimer(fn).Reset(delay) }
+
+// scheduleAt is schedule at an absolute time (clamped to now).
+func scheduleAt(e *Engine, at Time, fn Event) { e.NewTimer(fn).ResetAt(at) }
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func(Time) { order = append(order, 3) })
-	e.Schedule(10, func(Time) { order = append(order, 1) })
-	e.Schedule(20, func(Time) { order = append(order, 2) })
+	schedule(e, 30, func(Time) { order = append(order, 3) })
+	schedule(e, 10, func(Time) { order = append(order, 1) })
+	schedule(e, 20, func(Time) { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order: %v", order)
@@ -48,7 +55,7 @@ func TestEngineFIFOTies(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(5, func(Time) { order = append(order, i) })
+		schedule(e, 5, func(Time) { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -93,7 +100,7 @@ func TestEngineOrderedPastClamp(t *testing.T) {
 	e := NewEngine()
 	var got Time
 	h := handlerFunc(func(now Time, _, _ uint64) { got = now })
-	e.Schedule(50, func(now Time) {
+	schedule(e, 50, func(now Time) {
 		e.ScheduleCallAtOrdered(10, h, 0, 0, 1)
 	})
 	e.Run()
@@ -105,9 +112,9 @@ func TestEngineOrderedPastClamp(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	e.Schedule(10, func(now Time) {
+	schedule(e, 10, func(now Time) {
 		fired = append(fired, now)
-		e.Schedule(5, func(now Time) {
+		schedule(e, 5, func(now Time) {
 			fired = append(fired, now)
 		})
 	})
@@ -119,8 +126,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func(now Time) {
-		e.Schedule(-100, func(inner Time) {
+	schedule(e, 10, func(now Time) {
+		schedule(e, -100, func(inner Time) {
 			if inner < now {
 				t.Errorf("event ran in the past: %v < %v", inner, now)
 			}
@@ -131,10 +138,11 @@ func TestEngineNegativeDelayClamped(t *testing.T) {
 
 func TestEngineNilEventIgnored(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1, nil)
+	e.ScheduleCall(1, nil, 0, 0)
+	e.ScheduleCallAt(2, nil, 0, 0)
 	e.Run()
-	if e.Processed() != 0 {
-		t.Fatal("nil event should be ignored")
+	if e.Processed() != 0 || e.Stats().Scheduled != 0 {
+		t.Fatal("nil handler should be ignored")
 	}
 }
 
@@ -142,7 +150,7 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func(Time) {
+		schedule(e, Time(i), func(Time) {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -168,7 +176,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 10, 15, 20} {
 		at := at
-		e.Schedule(at, func(now Time) { fired = append(fired, now) })
+		schedule(e, at, func(now Time) { fired = append(fired, now) })
 	}
 	e.RunUntil(12)
 	if len(fired) != 2 {
@@ -186,13 +194,13 @@ func TestRunUntil(t *testing.T) {
 func TestScheduleAt(t *testing.T) {
 	e := NewEngine()
 	var at Time = -1
-	e.ScheduleAt(50, func(now Time) { at = now })
+	scheduleAt(e, 50, func(now Time) { at = now })
 	e.Run()
 	if at != 50 {
 		t.Fatalf("at: %v", at)
 	}
 	// Past absolute times clamp to now.
-	e.ScheduleAt(10, func(now Time) { at = now })
+	scheduleAt(e, 10, func(now Time) { at = now })
 	e.Run()
 	if at != 50 {
 		t.Fatalf("past event should run at now: %v", at)
@@ -396,10 +404,10 @@ func TestEngineDeterministicReplay(t *testing.T) {
 			out = append(out, now)
 			count++
 			if count < 50 {
-				e.Schedule(g.ExpTime(100), tick)
+				schedule(e, g.ExpTime(100), tick)
 			}
 		}
-		e.Schedule(0, tick)
+		schedule(e, 0, tick)
 		e.Run()
 		return out
 	}

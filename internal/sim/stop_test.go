@@ -15,7 +15,7 @@ func TestStopBeforeRunPreventsExecution(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	for i := 0; i < 4; i++ {
-		e.ScheduleAt(Time(10*i), func(Time) { ran++ })
+		scheduleAt(e, Time(10*i), func(Time) { ran++ })
 	}
 	e.Stop()
 	e.Run()
@@ -35,7 +35,7 @@ func TestStopBeforeRunPreventsExecution(t *testing.T) {
 // advance the clock to its deadline — time only moves when events can.
 func TestStopBeforeRunUntilLeavesClock(t *testing.T) {
 	e := NewEngine()
-	e.ScheduleAt(5, func(Time) {})
+	scheduleAt(e, 5, func(Time) {})
 	e.Stop()
 	e.RunUntil(100)
 	if e.Now() != 0 {
@@ -60,7 +60,7 @@ func TestStopInsideCallbackThenRerun(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	for i := 0; i < 6; i++ {
-		e.ScheduleAt(Time(i), func(Time) {
+		scheduleAt(e, Time(i), func(Time) {
 			ran++
 			if ran == 2 {
 				e.Stop()
@@ -85,7 +85,7 @@ func TestStopInsideCallbackThenRerun(t *testing.T) {
 func TestStopIsOneShot(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(0, func(Time) { ran++ })
+	schedule(e, 0, func(Time) { ran++ })
 	e.Stop()
 	e.Run()
 	e.Stop()

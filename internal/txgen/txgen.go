@@ -112,6 +112,17 @@ type senderState struct {
 	holdTimer *sim.Timer
 }
 
+// heldRelease is one scheduled release of a held transaction: the
+// event emits tx for sender s.
+type heldRelease struct {
+	s  *senderState
+	tx *types.Transaction
+}
+
+// opRelease is the generator's one event opcode: emit the held
+// transaction at releases[b].
+const opRelease uint64 = 0
+
 // Generator drives the workload on a simulation engine.
 type Generator struct {
 	engine  *sim.Engine
@@ -124,6 +135,11 @@ type Generator struct {
 	emitted uint64
 	stopped bool
 	records []TxRecord
+	// releases is the slab of scheduled held-transaction releases,
+	// indexed by the release event's second argument; freeReleases
+	// lists the slab entries that are free for reuse.
+	releases     []heldRelease
+	freeReleases []uint64
 }
 
 // Configuration errors.
@@ -274,10 +290,30 @@ func (g *Generator) releaseHeld(now sim.Time, s *senderState) {
 		s.holdTimer.Stop()
 	}
 	lag := g.rng.ExpTime(g.cfg.HoldReleaseMean)
-	g.engine.Schedule(lag, func(later sim.Time) {
-		g.emit(later, s, held, true)
-	})
+	var i uint64
+	if n := len(g.freeReleases); n > 0 {
+		i = g.freeReleases[n-1]
+		g.freeReleases = g.freeReleases[:n-1]
+	} else {
+		i = uint64(len(g.releases))
+		g.releases = append(g.releases, heldRelease{})
+	}
+	g.releases[i] = heldRelease{s: s, tx: held}
+	g.engine.ScheduleCall(lag, g, opRelease, i)
 }
+
+// HandleEvent implements sim.Handler: it emits the held transaction of
+// the release at slab index b. Releases run even after Stop — a held
+// transaction already scheduled still goes out.
+func (g *Generator) HandleEvent(now sim.Time, _, b uint64) {
+	r := g.releases[b]
+	g.releases[b] = heldRelease{}
+	g.freeReleases = append(g.freeReleases, b)
+	g.emit(now, r.s, r.tx, true)
+}
+
+// EventName implements sim.EventNamer for traces.
+func (g *Generator) EventName(uint64) string { return "txgen.release" }
 
 func (g *Generator) emit(now sim.Time, s *senderState, tx *types.Transaction, wasHeld bool) {
 	g.emitted++

@@ -240,3 +240,73 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestHeldReleasesOverlapAndSurviveStop pins the release path with two
+// releases of one sender in flight at once: the sender holds tx 0,
+// releases it when tx 1 arrives, then holds tx 2 and releases it when
+// tx 3 arrives — all before the first release lag fires. Stop comes
+// right after tx 3, yet both scheduled releases must still emit, in
+// time order, each with its own transaction and the Held flag. A
+// second round after a restart must reuse the freed release slots.
+func TestHeldReleasesOverlapAndSurviveStop(t *testing.T) {
+	engine := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.Senders = 1
+	cfg.OutOfOrderProb = 1
+	cfg.MeanInterArrival = sim.Millisecond
+	cfg.HoldReleaseMean = sim.Hour
+	var g *Generator
+	var got []emittedTx
+	cfg.Submit = func(now sim.Time, tx *types.Transaction, origin geo.Region, _ bool) {
+		got = append(got, emittedTx{now, tx, origin})
+		if tx.Nonce%4 == 3 {
+			g.Stop()
+		}
+	}
+	var err error
+	g, err = NewGenerator(engine, sim.NewRNG(13), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(0); round < 2; round++ {
+		g.Start()
+		engine.Run()
+		want := 4 * (round + 1)
+		if g.Emitted() != want {
+			t.Fatalf("round %d: emitted %d, want %d", round, g.Emitted(), want)
+		}
+		recs := g.Records()
+		base := 4 * round
+		// Emission order: the two successors at their arrivals, then
+		// the two held predecessors after their release lags.
+		for i, nonce := range []uint64{1, 3} {
+			r := recs[base+uint64(i)]
+			if r.Nonce != base+nonce || r.Held {
+				t.Fatalf("round %d emission %d: nonce %d held %v, want nonce %d unheld", round, i, r.Nonce, r.Held, base+nonce)
+			}
+		}
+		stoppedAt := recs[base+1].EmitTime
+		released := recs[base+2 : base+4]
+		if released[0].EmitTime > released[1].EmitTime {
+			t.Fatalf("round %d: releases out of time order: %v then %v", round, released[0].EmitTime, released[1].EmitTime)
+		}
+		seen := map[uint64]bool{}
+		for _, r := range released {
+			if !r.Held || r.EmitTime <= stoppedAt || (r.Nonce != base && r.Nonce != base+2) {
+				t.Fatalf("round %d: release %+v, want held nonce %d or %d after stop at %v", round, r, base, base+2, stoppedAt)
+			}
+			seen[r.Nonce] = true
+		}
+		if len(seen) != 2 {
+			t.Fatalf("round %d: a held transaction was released twice: %+v", round, released)
+		}
+		for i, r := range recs {
+			if r.Hash != got[i].tx.Hash() || r.EmitTime != got[i].now {
+				t.Fatalf("record %d does not match its submission", i)
+			}
+		}
+	}
+	if len(g.releases) != 2 {
+		t.Fatalf("release slab grew to %d entries, want the 2 freed slots reused", len(g.releases))
+	}
+}
