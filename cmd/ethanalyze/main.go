@@ -168,12 +168,6 @@ func analyzeRun(dir string, w *os.File) error {
 	if err != nil {
 		return err
 	}
-	// Both manifest versions read fine, but only the versioned schema
-	// carries digests — flag legacy directories so stale runs are
-	// re-generated rather than trusted.
-	if m, err := experiments.ReadManifest(st); err == nil && m.Legacy() {
-		fmt.Fprintf(w, "warning: %s has an unversioned legacy manifest (no digests); re-run to enable -verify\n", dir)
-	}
 	sets, err := scenario.ReadArtifact(st)
 	switch {
 	case errors.Is(err, os.ErrNotExist):

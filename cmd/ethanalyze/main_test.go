@@ -247,30 +247,8 @@ func TestVerifyRejectsLegacyRunDirectory(t *testing.T) {
 		[]byte(`{"seed":42,"scale":"small","repeats":2,"specs":["T1"]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := capture(t, []string{"-verify", dir}); err == nil {
-		t.Fatal("verify accepted an unversioned legacy manifest")
-	}
-	// But -run still summarizes it, with a warning.
-	text, err := capture(t, []string{"-run", dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "legacy manifest") {
-		t.Fatalf("missing legacy warning:\n%s", text)
-	}
-	if !strings.Contains(text, "Campaign summary") {
-		t.Fatalf("legacy run not summarized:\n%s", text)
-	}
-}
-
-// TestRunDirectoryNoLegacyWarning: current directories must summarize
-// without the warning.
-func TestRunDirectoryNoLegacyWarning(t *testing.T) {
-	text, err := capture(t, []string{"-run", sealedRunDir(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(text, "legacy manifest") {
-		t.Fatalf("spurious legacy warning:\n%s", text)
+	_, err := capture(t, []string{"-verify", dir})
+	if err == nil || !strings.Contains(err.Error(), "schema_version 0") {
+		t.Fatalf("verify on an unversioned legacy manifest: %v, want an unsupported schema_version 0 error", err)
 	}
 }

@@ -43,8 +43,6 @@ type reportArtifact struct {
 // Manifest is a campaign run's manifest.json: the campaign metadata
 // (seed, scale, repeats, selected specs) joined with the store
 // digest record (schema version, Merkle root, per-file digests).
-// Version-1 directories predate the digest fields; they decode with
-// SchemaVersion 0 and empty digests.
 type Manifest struct {
 	SchemaVersion int          `json:"schema_version,omitempty"`
 	Seed          uint64       `json:"seed"`
@@ -54,9 +52,6 @@ type Manifest struct {
 	MerkleRoot    string       `json:"merkle_root,omitempty"`
 	Files         []store.File `json:"files,omitempty"`
 }
-
-// Legacy reports whether the manifest predates the digest schema.
-func (m *Manifest) Legacy() bool { return m.SchemaVersion < store.SchemaVersion }
 
 // WriteArtifacts persists a campaign report into a store:
 //
@@ -113,11 +108,9 @@ func WriteManifest(st store.Store, r *Report) error {
 	return putJSON(st, ManifestFile, doc)
 }
 
-// ReadManifest loads a run store's manifest.json, accepting both the
-// digestless version-1 form and the current versioned form. Callers
-// that need tamper evidence should check Legacy() (or use
-// store.Verify) — a legacy manifest reads fine but cannot be
-// verified.
+// ReadManifest loads a run store's manifest.json. A manifest older
+// than store.SchemaVersion is an error. Reading does not verify the
+// digests; callers that need tamper evidence use store.Verify.
 func ReadManifest(st store.Store) (*Manifest, error) {
 	data, err := st.Get(ManifestFile)
 	if err != nil {
@@ -126,6 +119,9 @@ func ReadManifest(st store.Store) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("experiments: parse %s: %w", ManifestFile, err)
+	}
+	if err := store.CheckSchemaVersion(m.SchemaVersion); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }

@@ -90,8 +90,8 @@ func TestManifestRoundTripAndVerify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Legacy() {
-				t.Fatalf("fresh manifest reads as legacy: %+v", m)
+			if m.SchemaVersion != store.SchemaVersion {
+				t.Fatalf("fresh manifest schema_version %d, want %d", m.SchemaVersion, store.SchemaVersion)
 			}
 			if m.Seed != rep.Seed || m.Scale != rep.Scale.String() || m.Repeats != rep.Repeats {
 				t.Fatalf("campaign metadata mismatch: %+v", m)
@@ -118,35 +118,6 @@ func TestManifestRoundTripAndVerify(t *testing.T) {
 				t.Fatal("verification missed a tampered artifact")
 			}
 		})
-	}
-}
-
-// TestReadManifestAcceptsLegacy pins backward compatibility: version-1
-// directories (campaign metadata only) still read, flagged as legacy.
-func TestReadManifestAcceptsLegacy(t *testing.T) {
-	st := store.NewMem()
-	legacy := `{
-  "repeats": 2,
-  "scale": "small",
-  "seed": 42,
-  "specs": ["T1", "network"]
-}
-`
-	if err := st.Put(ManifestFile, []byte(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadManifest(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Legacy() {
-		t.Fatalf("v1 manifest not flagged legacy: %+v", m)
-	}
-	if m.Seed != 42 || m.Scale != "small" || m.Repeats != 2 || len(m.Specs) != 2 {
-		t.Fatalf("v1 fields lost: %+v", m)
-	}
-	if m.MerkleRoot != "" || len(m.Files) != 0 {
-		t.Fatalf("v1 manifest invented digests: %+v", m)
 	}
 }
 

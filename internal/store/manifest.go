@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -120,14 +119,19 @@ func buildManifest(s Store) (*Manifest, error) {
 	return m, nil
 }
 
-// ErrLegacyManifest reports a version-1 manifest (written before
-// digests existed): readable, but not verifiable.
-var ErrLegacyManifest = errors.New("store: unversioned legacy manifest (schema_version < 2): no digests to verify")
+// CheckSchemaVersion rejects a manifest whose schema_version predates
+// SchemaVersion. Version-1 manifests (written before digests existed)
+// carry nothing to verify, so no reader accepts them.
+func CheckSchemaVersion(v int) error {
+	if v < SchemaVersion {
+		return fmt.Errorf("store: unsupported manifest schema_version %d (want %d): re-run to regenerate it", v, SchemaVersion)
+	}
+	return nil
+}
 
 // ReadManifest loads and parses ManifestFile from s. Extra fields
-// (campaign or dataset metadata) are ignored. A legacy manifest
-// returns the parsed (digestless) manifest alongside
-// ErrLegacyManifest so callers can still report its metadata.
+// (campaign or dataset metadata) are ignored; a manifest older than
+// SchemaVersion is an error.
 func ReadManifest(s Store) (*Manifest, error) {
 	data, err := s.Get(ManifestFile)
 	if err != nil {
@@ -137,8 +141,8 @@ func ReadManifest(s Store) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("store: parse %s: %w", ManifestFile, err)
 	}
-	if m.SchemaVersion < SchemaVersion {
-		return &m, ErrLegacyManifest
+	if err := CheckSchemaVersion(m.SchemaVersion); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }

@@ -25,8 +25,8 @@ import (
 const ManifestFile = "manifest.json"
 
 // SchemaVersion is the current manifest schema. Version 1 directories
-// (written before digests existed) carry no schema_version field and
-// read back as version 0.
+// (written before digests existed) carry no schema_version field, read
+// back as version 0 and are rejected by every manifest reader.
 const SchemaVersion = 2
 
 // Store is a keyed artifact store. Implementations must be safe for

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io/fs"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -270,11 +271,15 @@ func TestVerifyLegacyManifest(t *testing.T) {
 	put(t, s, "outcomes.json", "{}")
 	// A v1 manifest: campaign metadata only, no digests.
 	put(t, s, ManifestFile, `{"seed":42,"scale":"small","repeats":1,"specs":["T1"]}`)
-	if err := Verify(s); !errors.Is(err, ErrLegacyManifest) {
-		t.Fatalf("verify on legacy manifest: %v, want ErrLegacyManifest", err)
+	if err := Verify(s); err == nil || !strings.Contains(err.Error(), "schema_version 0") {
+		t.Fatalf("verify on legacy manifest: %v, want an unsupported schema_version 0 error", err)
 	}
-	if _, err := ReadManifest(s); !errors.Is(err, ErrLegacyManifest) {
-		t.Fatalf("read on legacy manifest: %v, want ErrLegacyManifest", err)
+	if m, err := ReadManifest(s); err == nil || !strings.Contains(err.Error(), "schema_version 0") || m != nil {
+		t.Fatalf("read on legacy manifest: %+v, %v, want an unsupported schema_version 0 error", m, err)
+	}
+	put(t, s, ManifestFile, `{"schema_version":1,"merkle_root":"","files":[]}`)
+	if err := Verify(s); err == nil || !strings.Contains(err.Error(), "schema_version 1") {
+		t.Fatalf("verify on version-1 manifest: %v, want an unsupported schema_version 1 error", err)
 	}
 	if _, err := ReadManifest(NewMem()); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("read on empty store: %v, want fs.ErrNotExist", err)
