@@ -38,8 +38,7 @@
 // but never fail — at -benchtime=1x a microsecond-, few-alloc- or
 // few-KiB-scale measurement is dominated by scheduler and
 // one-time-init noise, and a fixed percentage threshold on it only
-// produces flaky gates. Legacy snapshots (a bare entry array, the
-// pre-note format) still load.
+// produces flaky gates.
 package main
 
 import (
@@ -176,8 +175,7 @@ func envelope(entries []Entry, n int) ([]Entry, error) {
 	return out, nil
 }
 
-// loadSnapshot reads a snapshot file: the current object format, or a
-// legacy bare entry array.
+// loadSnapshot reads a snapshot file in the object format.
 func loadSnapshot(path string) (map[string]Entry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -185,11 +183,7 @@ func loadSnapshot(path string) (map[string]Entry, error) {
 	}
 	var snap Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		var entries []Entry
-		if err2 := json.Unmarshal(data, &entries); err2 != nil {
-			return nil, fmt.Errorf("parse %s: %w", path, err)
-		}
-		snap.Entries = entries
+		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
 	byName := make(map[string]Entry, len(snap.Entries))
 	for _, e := range snap.Entries {

@@ -65,7 +65,7 @@ func TestParseRejectsEmptyInput(t *testing.T) {
 // writeSnapshot writes a snapshot file for compare-mode tests.
 func writeSnapshot(t *testing.T, entries []Entry) string {
 	t.Helper()
-	data, err := json.Marshal(entries)
+	data, err := json.Marshal(Snapshot{Entries: entries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestCompareStalledLaneWindows(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormats: the object snapshot with provenance loads, and
-// so does the legacy bare-array format.
+// TestSnapshotFormats: the object snapshot with provenance loads; a
+// bare entry array (the pre-note format) is rejected, naming the file.
 func TestSnapshotFormats(t *testing.T) {
 	entries := []Entry{{Name: "BenchmarkA", Iterations: 1, Metrics: map[string]float64{"ns/op": 42}}}
 
@@ -374,13 +374,16 @@ func TestSnapshotFormats(t *testing.T) {
 		t.Fatalf("v2 snapshot: %+v", byName)
 	}
 
-	legacyPath := writeSnapshot(t, entries)
-	byName, err = loadSnapshot(legacyPath)
+	bare, err := json.Marshal(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if byName["BenchmarkA"].Metrics["ns/op"] != 42 {
-		t.Fatalf("legacy snapshot: %+v", byName)
+	barePath := filepath.Join(t.TempDir(), "bare.json")
+	if err := os.WriteFile(barePath, bare, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadSnapshot(barePath); err == nil || !strings.Contains(err.Error(), barePath) {
+		t.Fatalf("bare-array snapshot: %v, want a parse error naming %s", err, barePath)
 	}
 }
 
