@@ -9,9 +9,12 @@ build:
 	$(GO) build ./...
 
 # Fast tier: the CI gate. Heavy workload campaigns downshift or skip
-# under -short; run test-full for the complete suite.
+# under -short; run test-full for the complete suite. perfbench is a
+# nested module that the root ./... skips, so its unit tests run here
+# too: an internal API change that breaks the benchmark fails CI.
 test:
 	$(GO) test -short ./...
+	cd perfbench && $(GO) test ./...
 
 test-full:
 	$(GO) test ./...
@@ -186,3 +189,4 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
